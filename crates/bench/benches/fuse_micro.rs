@@ -155,8 +155,10 @@ fn bench_flush_batched_vs_unbatched(c: &mut Criterion) {
         let data = vec![1u8; 256 * 4096];
         c.bench_function(label, |b| {
             b.iter(|| {
+                // Whole pages: the cache never reads them first, whatever
+                // the file's size.
                 cache
-                    .write(dev, CacheMode::native(), &file, 0, &data)
+                    .write(dev, CacheMode::native(), &file, 0, &data, 0)
                     .unwrap();
                 cache.flush_file(dev, file.ino).unwrap();
             })

@@ -668,6 +668,7 @@ mod tests {
     use cntr_engine::runtime::boot_host;
     use cntr_fs::{Filesystem, FsContext};
     use cntr_fuse::{FuseClientFs, FuseConfig, InlineTransport};
+    use cntr_kernel::{CacheMode, MountFlags};
     use cntr_types::SimClock;
 
     fn setup() -> (Kernel, Arc<FuseClientFs>) {
@@ -698,6 +699,62 @@ mod tests {
         )
         .unwrap();
         (k, client)
+    }
+
+    /// A partial write to a page never read through CntrFS must not zero
+    /// the rest of that page on disk: the write-back cache reads the page
+    /// in before dirtying it, through a write-only open too (the kernel
+    /// sends that OPEN read-write).
+    #[test]
+    fn partial_write_to_an_uncached_page_keeps_the_rest_of_it() {
+        let (k, fs) = setup();
+        let original: Vec<u8> = (0..3 * 4096u32).map(|i| (i % 251) as u8 + 1).collect();
+        let fd = k
+            .open(
+                Pid::INIT,
+                "/etc/partial",
+                OpenFlags::create(),
+                Mode::RW_R__R__,
+            )
+            .unwrap();
+        k.write_fd(Pid::INIT, fd, &original).unwrap();
+        k.close(Pid::INIT, fd).unwrap();
+        k.sync().unwrap();
+
+        let flags = fs.effective_flags();
+        assert!(flags.writeback_cache, "the write-back cache is under test");
+        k.mkdir(Pid::INIT, "/mnt", Mode::RWXR_XR_X).unwrap();
+        let cache = CacheMode {
+            writeback: true,
+            keep_cache: flags.keep_cache,
+            synthetic: false,
+        };
+        k.mount_fs(Pid::INIT, "/mnt", fs, cache, MountFlags::default())
+            .unwrap();
+        let fd = k
+            .open(
+                Pid::INIT,
+                "/mnt/etc/partial",
+                OpenFlags::WRONLY,
+                Mode::RW_R__R__,
+            )
+            .unwrap();
+        assert_eq!(k.pwrite(Pid::INIT, fd, 1000, &[0xAB; 100]).unwrap(), 100);
+        k.close(Pid::INIT, fd).unwrap();
+        k.sync().unwrap();
+
+        let mut expected = original;
+        expected[1000..1100].fill(0xAB);
+        k.drop_caches().unwrap();
+        for path in ["/etc/partial", "/mnt/etc/partial"] {
+            let fd = k
+                .open(Pid::INIT, path, OpenFlags::RDONLY, Mode::RW_R__R__)
+                .unwrap();
+            let mut got = vec![0u8; expected.len() + 1];
+            assert_eq!(k.pread(Pid::INIT, fd, 0, &mut got).unwrap(), expected.len());
+            assert!(got[..expected.len()] == expected[..], "{path} lost data");
+            k.close(Pid::INIT, fd).unwrap();
+        }
     }
 
     #[test]

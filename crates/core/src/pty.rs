@@ -73,29 +73,19 @@ impl Pty {
     /// Slave side: the shell reads one line of input, if a complete line is
     /// buffered.
     pub fn shell_read_line(&self) -> SysResult<Option<String>> {
-        // Peek by draining into a local buffer; lines are delivered whole
-        // because user_write_line writes atomically within capacity.
-        let mut out = Vec::new();
-        let mut byte = [0u8; 1];
-        loop {
-            match self.input.read(&mut byte) {
-                Ok(0) => {
-                    return if out.is_empty() {
-                        Ok(None)
-                    } else {
-                        Ok(Some(String::from_utf8_lossy(&out).to_string()))
-                    }
+        // One locked scan of the pipe's segments; lines are delivered whole
+        // because user_write_line writes atomically within capacity, so a
+        // buffer that runs dry mid-line is taken as the whole line.
+        let mut line = Vec::new();
+        match self.input.read_until(b'\n', &mut line) {
+            Ok(0) | Err(Errno::EAGAIN) => Ok(None),
+            Ok(_) => {
+                if line.last() == Some(&b'\n') {
+                    line.pop();
                 }
-                Ok(_) => {
-                    if byte[0] == b'\n' {
-                        return Ok(Some(String::from_utf8_lossy(&out).to_string()));
-                    }
-                    out.push(byte[0]);
-                }
-                Err(Errno::EAGAIN) if out.is_empty() => return Ok(None),
-                Err(Errno::EAGAIN) => return Ok(Some(String::from_utf8_lossy(&out).to_string())),
-                Err(e) => return Err(e),
+                Ok(Some(String::from_utf8_lossy(&line).to_string()))
             }
+            Err(e) => Err(e),
         }
     }
 

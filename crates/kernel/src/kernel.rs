@@ -1211,11 +1211,12 @@ impl Kernel {
     }
 
     /// `splice(2)`: moves up to `len` bytes between two descriptors without
-    /// copying through userspace. Supports pipe→pipe, socket→pipe and
-    /// pipe→socket — the combinations CNTR's socket proxy uses (§3.2.4).
-    /// Loss-free under backpressure: whatever the destination does not
-    /// accept is pushed back onto the source, so a caller that sees
-    /// `EAGAIN` or a short count can retry later without dropping bytes.
+    /// copying through userspace. Supports pipe→pipe, socket→pipe,
+    /// pipe→socket and socket→socket — the combinations CNTR's socket proxy
+    /// uses (§3.2.4). Loss-free under backpressure: whatever the
+    /// destination does not accept is pushed back onto the source, so a
+    /// caller that sees `EAGAIN` or a short count can retry later without
+    /// dropping bytes.
     pub fn splice(&self, pid: Pid, fd_in: u32, fd_out: u32, len: usize) -> SysResult<usize> {
         self.charge_syscall();
         let (src, dst) = self.with_proc(pid, |p| {
@@ -1223,47 +1224,36 @@ impl Kernel {
             let b = Arc::clone(&p.fds.get(&fd_out).ok_or(Errno::EBADF)?.file);
             Ok((a, b))
         })?;
-        // Stage through a bounded kernel buffer; remap cost, not copy cost.
-        let mut buf = vec![0u8; len.min(crate::pipe::PIPE_CAPACITY)];
-        let n = match &src.kind {
-            FileKind::PipeRead(pipe) => pipe.read(&mut buf)?,
-            FileKind::Socket(s) => s.recv(&mut buf)?,
+        let src_pipe = match &src.kind {
+            FileKind::PipeRead(pipe) => pipe,
+            FileKind::Socket(s) => s.in_pipe(),
             _ => return Err(Errno::EINVAL),
         };
-        if n == 0 {
+        // Move segments, not bytes: detach them from the source under its
+        // lock, then append them to the destination under its lock, then
+        // return the refused tail to the source front. The two pipe locks
+        // are never held together. Between the take and the push-back a
+        // concurrent reader of the source sees the refused bytes missing
+        // (and a writer sees their room free), exactly the window a
+        // read-then-unread staging copy has.
+        let mut segs = src_pipe.take(len.min(crate::pipe::PIPE_CAPACITY))?;
+        if segs.is_empty() {
             return Ok(0);
         }
         let written = match &dst.kind {
-            FileKind::PipeWrite(pipe) => pipe.write(&buf[..n]),
-            FileKind::Socket(s) => s.send(&buf[..n]),
+            FileKind::PipeWrite(pipe) => pipe.write_segments(&mut segs),
+            FileKind::Socket(s) => s.send_segments(&mut segs),
             _ => Err(Errno::EINVAL),
         };
-        let written = match written {
-            Ok(w) => w,
-            Err(e) => {
-                // Destination refused everything: return the staged bytes
-                // to the source before surfacing the error.
-                Self::splice_unread(&src.kind, &buf[..n]);
-                return Err(e);
-            }
-        };
-        if written < n {
-            Self::splice_unread(&src.kind, &buf[written..n]);
+        if !segs.is_empty() {
+            src_pipe.unread(segs);
         }
+        let written = written?;
         // Charge splice (page-remap) cost for what actually moved.
         self.inner
             .clock
             .advance(self.inner.cost.splice(written as u64));
         Ok(written)
-    }
-
-    /// Returns unconsumed staged bytes to a splice source.
-    fn splice_unread(src: &FileKind, data: &[u8]) {
-        match src {
-            FileKind::PipeRead(pipe) => pipe.unread(data),
-            FileKind::Socket(s) => s.unrecv(data),
-            _ => {}
-        }
     }
 }
 

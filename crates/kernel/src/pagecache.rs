@@ -158,6 +158,22 @@ enum PageData {
     Synthetic,
 }
 
+/// A fresh page: zeroes, or the synthetic stand-in.
+fn blank_page(mode: CacheMode) -> PageData {
+    if mode.synthetic {
+        PageData::Synthetic
+    } else {
+        PageData::Owned(Box::new([0u8; PAGE_SIZE]))
+    }
+}
+
+/// True when a write of `n` bytes into page `page_no` covers only part of
+/// the page and the page starts below `fs_size`, so the rest of it holds
+/// file data on the filesystem.
+fn partial_page_below(fs_size: u64, page_no: u64, n: usize) -> bool {
+    n < PAGE_SIZE && page_no * (PAGE_SIZE as u64) < fs_size
+}
+
 impl PageData {
     /// Copies `[in_page, in_page+n)` of the page into `buf` (zeroes beyond
     /// the stored length).
@@ -940,24 +956,7 @@ impl CacheShared {
                 OBS_MISSES.inc();
                 // Fill the whole page from the filesystem (outside the lock:
                 // a FUSE fill re-enters the kernel through the server).
-                let page_off = page_no * PAGE_SIZE as u64;
-                let data = if mode.synthetic {
-                    // Synthetic mode: the fill must still be a real
-                    // page-sized read so every layer below (FUSE round trips,
-                    // readahead, disk) charges its true cost — only the bytes
-                    // are discarded. Stack-allocated: the fill re-enters this
-                    // function through the FUSE server.
-                    let mut sink = [0u8; PAGE_SIZE];
-                    file.fs.read(ino, file.fh, page_off, &mut sink)?;
-                    PageData::Synthetic
-                } else {
-                    // The splice fill: the buffer the filesystem returns is
-                    // cached *by reference* — for a spliced FUSE read this is
-                    // the server's own allocation, mapped into the page cache
-                    // without a copy (a short buffer is an EOF page; its tail
-                    // reads as zeroes).
-                    self.fill_page(file, ino, page_off)?
-                };
+                let data = self.fill_page(mode, file, page_no)?;
                 data.read_into(in_page, &mut buf[done..done + n]);
                 let over = {
                     let mut st = self.lru.lock();
@@ -981,22 +980,36 @@ impl CacheShared {
         Ok(done)
     }
 
-    /// Reads one page of data at `page_off`, preferring the zero-copy
+    /// Reads page `page_no` from the filesystem, preferring the zero-copy
     /// `read_bytes` path: a filesystem that answers the whole page (or an
     /// EOF prefix of it) in one buffer has that buffer cached by reference
     /// ([`PageData::Shared`] — the FUSE splice "page remap").
-    fn fill_page(&self, file: &Arc<FileRef>, ino: Ino, page_off: u64) -> SysResult<PageData> {
+    fn fill_page(&self, mode: CacheMode, file: &Arc<FileRef>, page_no: u64) -> SysResult<PageData> {
+        let page_off = page_no * PAGE_SIZE as u64;
+        if mode.synthetic {
+            // Synthetic mode: the fill must still be a real page-sized read
+            // so every layer below (FUSE round trips, readahead, disk)
+            // charges its true cost — only the bytes are discarded.
+            // Stack-allocated: the fill re-enters the page cache through
+            // the FUSE server.
+            let mut sink = [0u8; PAGE_SIZE];
+            file.fs.read(file.ino, file.fh, page_off, &mut sink)?;
+            return Ok(PageData::Synthetic);
+        }
         // `read_bytes_gather` forwards a single full-or-EOF answer
         // untouched (the zero-copy case) and only gathers across chunk
-        // boundaries; either way the buffer is cached by reference, and a
-        // short buffer is an EOF page whose tail reads as zeroes.
-        Ok(PageData::Shared(
-            file.fs
-                .read_bytes_gather(ino, file.fh, page_off, PAGE_SIZE)?,
-        ))
+        // boundaries; either way the buffer is cached by reference — for a
+        // spliced FUSE read the server's own allocation — and a short
+        // buffer is an EOF page whose tail reads as zeroes.
+        Ok(PageData::Shared(file.fs.read_bytes_gather(
+            file.ino, file.fh, page_off, PAGE_SIZE,
+        )?))
     }
 
-    /// Writes through the cache according to `mode`.
+    /// Writes through the cache according to `mode`. `fs_size` is the
+    /// file's size on the filesystem before the write (Linux's `i_size`):
+    /// an uncached page that the write covers only in part and that starts
+    /// below it holds data that must not be lost.
     ///
     /// Write-through: the filesystem sees the write immediately and pages are
     /// updated in place. Writeback: pages go dirty, the dirty-ratio
@@ -1009,12 +1022,13 @@ impl CacheShared {
         file: &Arc<FileRef>,
         offset: u64,
         data: &[u8],
+        fs_size: u64,
     ) -> SysResult<usize> {
         let ino = file.ino;
         if !mode.writeback {
             // Write-through: filesystem first (it may fail), then cache.
             let written = file.fs.write(ino, file.fh, offset, data)?;
-            self.update_clean_pages(dev, ino, mode, offset, &data[..written])?;
+            self.update_clean_pages(dev, ino, mode, offset, &data[..written], fs_size)?;
             return Ok(written);
         }
 
@@ -1030,10 +1044,20 @@ impl CacheShared {
                 ino,
                 page: page_no,
             };
+            // A partial write to an uncached page inside EOF reads the page
+            // first, as Linux's `fuse_write_begin` does; otherwise the rest
+            // of the page would reach disk as zeroes. The fill runs outside
+            // the lock (a FUSE fill re-enters the kernel).
+            let mut fill = None;
+            if partial_page_below(fs_size, page_no, n) && !self.lru.lock().map.contains_key(&key) {
+                fill = Some(self.fill_page(mode, file, page_no)?);
+            }
             let now = self.clock.now();
             let over = {
                 let mut st = self.lru.lock();
                 let slot = match st.map.get(&key) {
+                    // Cached, possibly by a racing fill: theirs wins and
+                    // ours is dropped.
                     Some(&slot) => {
                         st.page_mut(slot).referenced = true;
                         if !st.page(slot).dirty {
@@ -1044,16 +1068,8 @@ impl CacheShared {
                     }
                     None => {
                         newly_dirtied += 1;
-                        st.insert(
-                            key,
-                            if mode.synthetic {
-                                PageData::Synthetic
-                            } else {
-                                PageData::Owned(Box::new([0u8; PAGE_SIZE]))
-                            },
-                            true,
-                            0,
-                        )
+                        let data = fill.take().unwrap_or_else(|| blank_page(mode));
+                        st.insert(key, data, true, 0)
                     }
                 };
                 if let Some(p) = st.page_mut(slot).data.make_mut() {
@@ -1083,6 +1099,8 @@ impl CacheShared {
     }
 
     /// Updates (or populates) clean cached pages after a write-through.
+    /// An uncached page the write covers only in part below `fs_size` is
+    /// left uncached: the filesystem holds the rest of it.
     fn update_clean_pages(
         &self,
         dev: DevId,
@@ -1090,6 +1108,7 @@ impl CacheShared {
         mode: CacheMode,
         offset: u64,
         data: &[u8],
+        fs_size: u64,
     ) -> SysResult<()> {
         let mut done = 0usize;
         let over;
@@ -1110,16 +1129,11 @@ impl CacheShared {
                         st.page_mut(slot).referenced = true;
                         slot
                     }
-                    None => st.insert(
-                        key,
-                        if mode.synthetic {
-                            PageData::Synthetic
-                        } else {
-                            PageData::Owned(Box::new([0u8; PAGE_SIZE]))
-                        },
-                        false,
-                        0,
-                    ),
+                    None if partial_page_below(fs_size, page_no, n) => {
+                        done += n;
+                        continue;
+                    }
+                    None => st.insert(key, blank_page(mode), false, 0),
                 };
                 if let Some(p) = st.page_mut(slot).data.make_mut() {
                     p[in_page..in_page + n].copy_from_slice(&data[done..done + n]);
@@ -1691,6 +1705,11 @@ mod tests {
         })
     }
 
+    /// The file's size on the filesystem (what the VFS passes as `fs_size`).
+    fn fs_size(file: &FileRef) -> u64 {
+        file.fs.getattr(file.ino).unwrap().size
+    }
+
     fn setup(cache_bytes: u64, dirty_bytes: u64) -> (Arc<PageCache>, Arc<FileRef>, DevId) {
         let clock = SimClock::new();
         let fs = memfs(DevId(1), clock.clone()) as Arc<dyn Filesystem>;
@@ -1709,7 +1728,9 @@ mod tests {
         let (cache, file, dev) = setup(1 << 20, 1 << 20);
         let mode = CacheMode::native();
         let data = b"writeback data".to_vec();
-        cache.write(dev, mode, &file, 10, &data).unwrap();
+        cache
+            .write(dev, mode, &file, 10, &data, fs_size(&file))
+            .unwrap();
         let mut buf = vec![0u8; data.len()];
         cache.read(dev, mode, &file, 10, &mut buf).unwrap();
         assert_eq!(buf, data);
@@ -1720,11 +1741,49 @@ mod tests {
         assert_eq!(file.fs.getattr(file.ino).unwrap().size, 24);
     }
 
+    /// Partial writes to uncached pages inside EOF keep the rest of the
+    /// page in both modes: write-back reads the page in first, and
+    /// write-through leaves it uncached so the next read fetches it.
+    #[test]
+    fn partial_write_to_an_uncached_page_keeps_the_rest_of_it() {
+        let through = CacheMode {
+            writeback: false,
+            ..CacheMode::native()
+        };
+        for mode in [CacheMode::native(), through] {
+            let (cache, file, dev) = setup(1 << 20, 1 << 30);
+            file.fs.write(file.ino, file.fh, 0, &[1u8; 8192]).unwrap();
+            let size = fs_size(&file);
+            cache
+                .write(dev, mode, &file, 1000, &[0xAB; 100], size)
+                .unwrap();
+            cache.sync_all().unwrap();
+            let mut want = vec![1u8; 8192];
+            want[1000..1100].fill(0xAB);
+            let mut cached = vec![0u8; 8192];
+            cache.read(dev, mode, &file, 0, &mut cached).unwrap();
+            assert!(
+                cached == want,
+                "cache lost data (write-back: {})",
+                mode.writeback
+            );
+            let mut disk = vec![0u8; 8192];
+            file.fs.read(file.ino, file.fh, 0, &mut disk).unwrap();
+            assert!(
+                disk == want,
+                "disk lost data (write-back: {})",
+                mode.writeback
+            );
+        }
+    }
+
     #[test]
     fn write_through_reaches_fs_immediately() {
         let (cache, file, dev) = setup(1 << 20, 1 << 20);
         let mode = CacheMode::uncached();
-        cache.write(dev, mode, &file, 0, b"now").unwrap();
+        cache
+            .write(dev, mode, &file, 0, b"now", fs_size(&file))
+            .unwrap();
         assert_eq!(file.fs.getattr(file.ino).unwrap().size, 3);
         assert_eq!(cache.dirty_bytes(), 0);
     }
@@ -1736,7 +1795,7 @@ mod tests {
         // 64 small sequential writes = 32 pages of dirty data.
         for i in 0..64u64 {
             cache
-                .write(dev, mode, &file, i * 2048, &[1u8; 2048])
+                .write(dev, mode, &file, i * 2048, &[1u8; 2048], fs_size(&file))
                 .unwrap();
         }
         let stats = cache.stats();
@@ -1755,7 +1814,14 @@ mod tests {
     fn fsync_flushes_and_syncs() {
         let (cache, file, dev) = setup(1 << 20, 1 << 30);
         cache
-            .write(dev, CacheMode::native(), &file, 0, &[7u8; 8192])
+            .write(
+                dev,
+                CacheMode::native(),
+                &file,
+                0,
+                &[7u8; 8192],
+                fs_size(&file),
+            )
             .unwrap();
         assert!(cache.dirty_bytes() > 0);
         cache.fsync(dev, &file, false).unwrap();
@@ -1849,7 +1915,14 @@ mod tests {
         let payload = vec![0x5Au8; 4 * PAGE_SIZE];
         for i in 0..160u64 {
             cache
-                .write(dev, mode, &file, i * payload.len() as u64, &payload)
+                .write(
+                    dev,
+                    mode,
+                    &file,
+                    i * payload.len() as u64,
+                    &payload,
+                    fs_size(&file),
+                )
                 .unwrap();
             assert!(
                 cache.resident_pages() <= 64,
@@ -1890,7 +1963,14 @@ mod tests {
         // Cross the background threshold but stay under the hard limit:
         // only the flusher can drain this.
         cache
-            .write(dev, mode, &file, 0, &vec![0xEEu8; 32 * PAGE_SIZE])
+            .write(
+                dev,
+                mode,
+                &file,
+                0,
+                &vec![0xEEu8; 32 * PAGE_SIZE],
+                fs_size(&file),
+            )
             .unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while cache.dirty_bytes() > 16 * PAGE_SIZE as u64 {
@@ -1914,7 +1994,9 @@ mod tests {
     fn invalidate_drops_pages_but_preserves_data() {
         let (cache, file, dev) = setup(1 << 20, 1 << 30);
         let mode = CacheMode::native();
-        cache.write(dev, mode, &file, 0, b"precious").unwrap();
+        cache
+            .write(dev, mode, &file, 0, b"precious", fs_size(&file))
+            .unwrap();
         cache.invalidate_file(dev, file.ino).unwrap();
         assert_eq!(cache.resident_pages(), 0);
         // Data was flushed, not lost.
@@ -1928,7 +2010,14 @@ mod tests {
         let (cache, file, dev) = setup(1 << 20, 1 << 30);
         let mode = CacheMode::native();
         cache
-            .write(dev, mode, &file, 0, &vec![5u8; 4 * PAGE_SIZE])
+            .write(
+                dev,
+                mode,
+                &file,
+                0,
+                &vec![5u8; 4 * PAGE_SIZE],
+                fs_size(&file),
+            )
             .unwrap();
         cache.truncate_file(dev, file.ino, PAGE_SIZE as u64);
         assert_eq!(cache.resident_pages(), 1);
@@ -1946,7 +2035,14 @@ mod tests {
             ..CacheMode::native()
         };
         cache
-            .write(dev, mode, &file, 0, &vec![0u8; 64 * PAGE_SIZE])
+            .write(
+                dev,
+                mode,
+                &file,
+                0,
+                &vec![0u8; 64 * PAGE_SIZE],
+                fs_size(&file),
+            )
             .unwrap();
         let mut buf = vec![0u8; PAGE_SIZE];
         cache.read(dev, mode, &file, 0, &mut buf).unwrap();

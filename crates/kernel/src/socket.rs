@@ -7,11 +7,20 @@
 //! application container and splices the bytes to the real server socket in
 //! the debug container or on the host. These are the sockets it proxies.
 
-use crate::pipe::{Pipe, Pollable};
+use crate::pipe::{Pipe, Pollable, Segments};
 use cntr_types::{Errno, SysResult};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// A write into a connection whose peer is gone resets it.
+fn reset_on_epipe(e: Errno) -> Errno {
+    if e == Errno::EPIPE {
+        Errno::ECONNRESET
+    } else {
+        e
+    }
+}
 
 /// One established connection: a pair of directional byte streams.
 #[derive(Debug)]
@@ -60,7 +69,9 @@ impl SocketEnd {
         }
     }
 
-    fn in_pipe(&self) -> &Arc<Pipe> {
+    /// The pipe carrying the peer's bytes to this endpoint; `splice`
+    /// detaches segments from it.
+    pub(crate) fn in_pipe(&self) -> &Arc<Pipe> {
         match self.side {
             Side::A => &self.conn.b_to_a,
             Side::B => &self.conn.a_to_b,
@@ -69,13 +80,13 @@ impl SocketEnd {
 
     /// Sends bytes to the peer.
     pub fn send(&self, data: &[u8]) -> SysResult<usize> {
-        self.out_pipe().write(data).map_err(|e| {
-            if e == Errno::EPIPE {
-                Errno::ECONNRESET
-            } else {
-                e
-            }
-        })
+        self.out_pipe().write(data).map_err(reset_on_epipe)
+    }
+
+    /// The `splice` send: moves what fits of `segs` to the peer by
+    /// reference, leaving the refused tail in `segs`.
+    pub(crate) fn send_segments(&self, segs: &mut Segments) -> SysResult<usize> {
+        self.out_pipe().write_segments(segs).map_err(reset_on_epipe)
     }
 
     /// Receives bytes from the peer (0 = orderly shutdown).
@@ -100,12 +111,6 @@ impl SocketEnd {
     /// True once this endpoint's outbound direction has been shut down.
     pub fn write_shutdown(&self) -> bool {
         self.out_pipe().write_closed()
-    }
-
-    /// Puts bytes back at the front of the receive queue, undoing a
-    /// `recv` (the `splice` push-back path).
-    pub fn unrecv(&self, data: &[u8]) {
-        self.in_pipe().unread(data);
     }
 
     /// Bytes queued for reading.

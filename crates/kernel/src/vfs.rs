@@ -14,8 +14,8 @@ use crate::process::{FdEntry, FileKind, OpenFile, VfsLoc};
 use crate::socket::{SocketEnd, SocketListener};
 use cntr_fs::{Filesystem, FsContext, XattrFlags};
 use cntr_types::{
-    Capability, DevId, Dirent, Errno, FileType, Gid, Ino, Mode, OpenFlags, Pid, RenameFlags,
-    SetAttr, Stat, SysResult, Uid,
+    AccessMode, Capability, DevId, Dirent, Errno, FileType, Gid, Ino, Mode, OpenFlags, Pid,
+    RenameFlags, SetAttr, Stat, SysResult, Uid,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -358,7 +358,17 @@ impl Kernel {
                         .page_cache
                         .invalidate_file(dev, resolved.loc.ino)?;
                 }
-                let fh = resolved.fs.open(resolved.loc.ino, flags)?;
+                // The write-back cache reads a partly written page in
+                // through this handle whatever the fd's access mode (Linux
+                // fills pages independent of it, and its FUSE client opens
+                // write-only files read-write under the write-back cache),
+                // so the filesystem handle is readable; the fd keeps the
+                // caller's mode.
+                let mut fs_flags = flags;
+                if resolved.cache.writeback && flags.mode == AccessMode::WriteOnly {
+                    fs_flags.mode = AccessMode::ReadWrite;
+                }
+                let fh = resolved.fs.open(resolved.loc.ino, fs_flags)?;
                 if flags.contains(OpenFlags::TRUNC) && flags.mode.writable() {
                     self.inner
                         .page_cache
@@ -584,7 +594,7 @@ impl Kernel {
                 let n = self
                     .inner
                     .page_cache
-                    .write(*dev, *cache, fref, offset, data)?;
+                    .write(*dev, *cache, fref, offset, data, fs_size)?;
                 if file.flags.contains(OpenFlags::SYNC) {
                     self.inner.page_cache.fsync(*dev, fref, true)?;
                 }
@@ -1967,6 +1977,54 @@ mod tests {
         assert_eq!(k.stat(P, "/wb").unwrap().size, 5000);
         k.fsync(P, fd, false).unwrap();
         assert_eq!(k.stat(P, "/wb").unwrap().size, 5000);
+    }
+
+    /// A partial write through a write-only fd to an evicted page below
+    /// EOF reads the page in first, on a native write-back mount too: a
+    /// `pwrite` into the middle of a page and an `O_APPEND` write to an
+    /// evicted last page both keep the rest of the page.
+    #[test]
+    fn write_only_partial_writes_keep_the_rest_of_an_evicted_page() {
+        let k = kernel();
+        let original: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8 + 1).collect();
+        let fd = k
+            .open(P, "/partial", OpenFlags::create(), Mode::RW_R__R__)
+            .unwrap();
+        k.write_fd(P, fd, &original).unwrap();
+        k.close(P, fd).unwrap();
+        k.sync().unwrap();
+        k.drop_caches().unwrap();
+
+        let fd = k
+            .open(P, "/partial", OpenFlags::WRONLY, Mode::RW_R__R__)
+            .unwrap();
+        assert_eq!(k.pwrite(P, fd, 1000, &[0xAB; 100]).unwrap(), 100);
+        k.close(P, fd).unwrap();
+        let fd = k
+            .open(
+                P,
+                "/partial",
+                OpenFlags::WRONLY.with(OpenFlags::APPEND),
+                Mode::RW_R__R__,
+            )
+            .unwrap();
+        assert_eq!(k.write_fd(P, fd, b"tail").unwrap(), 4);
+        let mut buf = [0u8; 1];
+        assert_eq!(k.read_fd(P, fd, &mut buf), Err(Errno::EBADF));
+        k.close(P, fd).unwrap();
+        k.sync().unwrap();
+        k.drop_caches().unwrap();
+
+        let mut expected = original;
+        expected[1000..1100].fill(0xAB);
+        expected.extend_from_slice(b"tail");
+        let fd = k
+            .open(P, "/partial", OpenFlags::RDONLY, Mode::RW_R__R__)
+            .unwrap();
+        let mut got = vec![0u8; expected.len() + 1];
+        assert_eq!(k.pread(P, fd, 0, &mut got).unwrap(), expected.len());
+        assert!(got[..expected.len()] == expected[..], "page data lost");
+        k.close(P, fd).unwrap();
     }
 
     #[test]

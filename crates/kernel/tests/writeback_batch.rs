@@ -17,6 +17,11 @@ use std::time::Duration;
 
 const PAGE: usize = 4096;
 
+/// The file's size on the filesystem (what the VFS passes as `fs_size`).
+fn fs_size(file: &FileRef) -> u64 {
+    file.fs.getattr(file.ino).unwrap().size
+}
+
 fn cache_with(coalesce: bool, dirty_limit: u64) -> (Arc<PageCache>, Arc<FileRef>, DevId) {
     let clock = SimClock::new();
     let fs = memfs(DevId(1), clock.clone());
@@ -49,7 +54,7 @@ fn contiguous_run_flushes_as_one_batch() {
     let (cache, file, dev) = cache_with(true, 1 << 30);
     let mode = CacheMode::native();
     cache
-        .write(dev, mode, &file, 0, &vec![7u8; 256 * PAGE])
+        .write(dev, mode, &file, 0, &vec![7u8; 256 * PAGE], fs_size(&file))
         .unwrap();
     cache.flush_file(dev, file.ino).unwrap();
     let stats = cache.stats();
@@ -66,10 +71,17 @@ fn a_hole_splits_the_run_into_two_batches() {
     let mode = CacheMode::native();
     // Pages 0..128 dirty, page 128 clean (hole), pages 129..256 dirty.
     cache
-        .write(dev, mode, &file, 0, &vec![1u8; 128 * PAGE])
+        .write(dev, mode, &file, 0, &vec![1u8; 128 * PAGE], fs_size(&file))
         .unwrap();
     cache
-        .write(dev, mode, &file, 129 * PAGE as u64, &vec![2u8; 127 * PAGE])
+        .write(
+            dev,
+            mode,
+            &file,
+            129 * PAGE as u64,
+            &vec![2u8; 127 * PAGE],
+            fs_size(&file),
+        )
         .unwrap();
     cache.flush_file(dev, file.ino).unwrap();
     let stats = cache.stats();
@@ -84,7 +96,7 @@ fn uncoalesced_writeback_is_one_write_per_page() {
     let (cache, file, dev) = cache_with(false, 1 << 30);
     let mode = CacheMode::native();
     cache
-        .write(dev, mode, &file, 0, &vec![9u8; 256 * PAGE])
+        .write(dev, mode, &file, 0, &vec![9u8; 256 * PAGE], fs_size(&file))
         .unwrap();
     cache.flush_file(dev, file.ino).unwrap();
     let stats = cache.stats();
@@ -170,7 +182,14 @@ fn batched_writeback_survives_threaded_reentrancy() {
         let payload = vec![0xABu8; 16 * PAGE];
         for round in 0..8u64 {
             cache
-                .write(dev, mode, &fref, round * payload.len() as u64, &payload)
+                .write(
+                    dev,
+                    mode,
+                    &fref,
+                    round * payload.len() as u64,
+                    &payload,
+                    fs_size(&fref),
+                )
                 .unwrap();
         }
         cache.fsync(dev, &fref, false).unwrap();
@@ -255,7 +274,14 @@ fn batched_writeback_survives_ring_reentrancy() {
         let payload = vec![0xCDu8; 16 * PAGE];
         for round in 0..8u64 {
             cache
-                .write(dev, mode, &fref, round * payload.len() as u64, &payload)
+                .write(
+                    dev,
+                    mode,
+                    &fref,
+                    round * payload.len() as u64,
+                    &payload,
+                    fs_size(&fref),
+                )
                 .unwrap();
         }
         cache.fsync(dev, &fref, false).unwrap();

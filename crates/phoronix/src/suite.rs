@@ -143,7 +143,10 @@ impl Workload {
     }
 
     /// The band the reproduction must land in for `cargo test` to pass.
-    /// Shape-preserving, not point-exact (see EXPERIMENTS.md).
+    /// Shape-preserving, not point-exact: each band brackets the paper's
+    /// overhead ([`paper_overhead`](Self::paper_overhead)) widely enough to
+    /// keep who-wins and the rough ratio, which `figure2_shape_matches_paper`
+    /// checks row by row.
     pub fn accepted_band(&self) -> (f64, f64) {
         match self {
             Workload::AioStress => (1.4, 4.5),
